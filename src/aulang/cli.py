@@ -14,18 +14,15 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .data import DataConfig, generate_dataset, load_dataset
 from .evaluate import DECISION_THRESHOLD, evaluate_model, export_embeddings
 from .losses import NonFiniteLossError
-from .model import Model, ModelConfig
+from .model import ModelConfig
 from .tenfile import read_kv, read_tensor
 from .train import TrainConfig, load_checkpoint, train
-
-WORKERS_ENV = "AU_DESCRIBE_THREADS"
 
 _SECTIONS = {"data": DataConfig, "model": ModelConfig, "train": TrainConfig}
 
@@ -109,17 +106,6 @@ def build_section(section: str, settings: dict, **forced):
 def echo_settings(settings: dict, out):
     for (section, field), (value, source) in sorted(settings.items()):
         print(f"config {section}.{field} = {value} ({source})", file=out)
-
-
-def _workers(requested: int) -> int:
-    cap = os.environ.get(WORKERS_ENV)
-    workers = max(1, requested)
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {cap!r}")
-    return workers
 
 
 # ----- subcommands -----------------------------------------------------------
@@ -234,43 +220,19 @@ def cmd_describe(args, settings):
     else:
         model, vocab, _ = load_checkpoint(args.checkpoint)
         image = read_tensor(args.image)
-    from .decoder import beam_decode, greedy_decode
-    from .stem import regions_of
-    from . import tensor as T
-    from .tensor import Tensor
-
-    cfg = model.config
-    with T.no_grad():
-        x = Tensor(np.asarray(image, dtype=cfg.np_dtype)[None])
-        v, vhats, probs = model.forward_probs(x)
-        branch_regions = [regions_of(vh).data[0] for vh in vhats]
-        global_regions = regions_of(v).data[0]
-
-    def decode(regions, params):
-        if args.beam > 1:
-            return beam_decode(regions, params, args.beam, cfg.max_len)
-        return greedy_decode(regions, params, cfg.max_len)
-
-    workers = _workers(args.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            local_ids = list(pool.map(lambda r: decode(r, model.local_dec),
-                                      branch_regions))
-    else:
-        local_ids = [decode(r, model.local_dec) for r in branch_regions]
-    global_ids = decode(global_regions, model.global_dec)
+    probs, local_ids, global_ids = model.describe_ids(image, beam_width=args.beam)
 
     aus = [{
         "au": i,
-        "probability": float(probs.data[0, i]),
-        "active": bool(probs.data[0, i] >= DECISION_THRESHOLD),
+        "probability": float(probs[i]),
+        "active": bool(probs[i] >= DECISION_THRESHOLD),
         "description": vocab.decode(ids),
     } for i, ids in enumerate(local_ids)]
     payload = {"aus": aus, "global_description": vocab.decode(global_ids)}
     if args.sample is not None:
         payload["sample_id"] = args.sample
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         for row in aus:
             mark = "active" if row["active"] else "inactive"
@@ -327,8 +289,6 @@ def build_parser():
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one setting; repeatable; beats --config")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1,
-                       help=f"decode threads, capped by ${WORKERS_ENV}")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--echo-config", action="store_true",
                        help="print effective non-default settings to stderr")

@@ -26,32 +26,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class PooledChannelVectors:
-    """Spatial max/mean pooled views of one map: two (C,) vectors."""
-
-    f_max: np.ndarray
-    f_avg: np.ndarray
-
-
-@dataclass
-class PooledSpatialMaps:
-    """Channel max/mean pooled views of one map: two (H', W') maps."""
-
-    f_max: np.ndarray
-    f_avg: np.ndarray
-
-
-def pooled_channel_vectors(data: np.ndarray) -> PooledChannelVectors:
-    c = data.shape[0]
-    flat = data.reshape(c, -1)
-    return PooledChannelVectors(flat.max(axis=1), flat.mean(axis=1))
-
-
-def pooled_spatial_maps(data: np.ndarray) -> PooledSpatialMaps:
-    return PooledSpatialMaps(data.max(axis=0), data.mean(axis=0))
-
-
-@dataclass
 class BranchParams:
     """One AU branch: bottleneck MLP (shared across the two pooled paths)
     plus the 2-to-1 channel spatial conv."""
@@ -110,9 +84,3 @@ def refine(v: Tensor, params: BranchParams) -> Tensor:
     """Full branch refinement: channel gate then spatial gate."""
     return spatial_attention(channel_attention(v, params), params)
 
-
-def refine_map(data: np.ndarray, params: BranchParams) -> np.ndarray:
-    """Single-map convenience wrapper: (C, H', W') in, same shape out."""
-    with T.no_grad():
-        out = refine(Tensor(data[None]), params)
-    return out.data[0]

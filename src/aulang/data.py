@@ -364,12 +364,3 @@ def occurrence_rates(labels: np.ndarray) -> np.ndarray:
     m = labels.shape[0]
     return np.maximum(labels.mean(axis=0), 1.0 / (2 * m))
 
-
-def load_frame_dataset(root):
-    """Hook for licensed AU video-frame corpora (BP4D, DISFA and kin).
-
-    Such data cannot ship here; adapters should produce the same directory
-    layout ``generate_dataset`` writes (manifest.txt, images/*.ten,
-    labels.csv, captions.jsonl, vocab.txt) and then use ``load_dataset``.
-    """
-    raise NotImplementedError("convert external corpora to the synthetic layout first")

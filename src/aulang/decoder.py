@@ -81,14 +81,7 @@ class DecoderParams:
         return self.w_v.data.dtype
 
 
-@dataclass
-class DecoderState:
-    h: np.ndarray  # (hidden,)
-    c: np.ndarray  # (hidden,)
-    alpha: np.ndarray  # (L,) weights used to produce h
-
-
-def _attend(params: DecoderParams, regions: Tensor, h_prev: Tensor):
+def attend(params: DecoderParams, regions: Tensor, h_prev: Tensor):
     """regions (B, L, d), h_prev (B, h) -> alpha (B, L), context (B, d)."""
     b, l, _ = regions.shape
     scores = T.relu(regions @ params.w_v + (h_prev @ params.w_h).reshape(b, 1, -1)) @ params.w_a
@@ -110,7 +103,7 @@ def _cell(params: DecoderParams, x: Tensor, c_prev: Tensor):
 
 def _step(params: DecoderParams, regions: Tensor, h_prev: Tensor, c_prev: Tensor,
           prev_tokens: np.ndarray):
-    alpha, context = _attend(params, regions, h_prev)
+    alpha, context = attend(params, regions, h_prev)
     pieces = [context, h_prev]
     if not params.strict_input:
         pieces.insert(0, T.take_rows(params.embed, prev_tokens))
@@ -123,38 +116,6 @@ def _zeros_state(params: DecoderParams, batch: int):
     h = params.hidden_size
     z = np.zeros((batch, h), dtype=params.dtype)
     return Tensor(z), Tensor(z.copy())
-
-
-def soft_attention(regions: np.ndarray, h_prev: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Attention weights for one (L, d) region set: non-negative, sum 1."""
-    with T.no_grad():
-        alpha, _ = _attend(params, Tensor(np.asarray(regions)[None]), Tensor(np.asarray(h_prev)[None]))
-    return alpha.data[0]
-
-
-def initial_state(params: DecoderParams, n_regions: int) -> DecoderState:
-    h = params.hidden_size
-    return DecoderState(
-        h=np.zeros(h, dtype=params.dtype),
-        c=np.zeros(h, dtype=params.dtype),
-        alpha=np.full(n_regions, 1.0 / n_regions, dtype=params.dtype),
-    )
-
-
-def decode_step(state: DecoderState, prev_token: int, regions: np.ndarray,
-                params: DecoderParams):
-    """Advance one step; returns the new state and the (vocab,) logits."""
-    if not 0 <= prev_token < params.vocab_size:
-        raise ValueError(f"token id {prev_token} outside vocabulary of {params.vocab_size}")
-    with T.no_grad():
-        h, c, alpha, _, logits = _step(
-            params,
-            Tensor(np.asarray(regions)[None]),
-            Tensor(state.h[None]),
-            Tensor(state.c[None]),
-            np.array([prev_token]),
-        )
-    return DecoderState(h.data[0], c.data[0], alpha.data[0]), logits.data[0]
 
 
 def teacher_forced_logprobs(regions: np.ndarray, tokens, params: DecoderParams) -> np.ndarray:
@@ -230,13 +191,6 @@ def greedy_decode(regions: np.ndarray, params: DecoderParams, max_len: int) -> l
     with T.no_grad():
         seq, _ = _greedy(params, Tensor(np.asarray(regions)[None]), max_len)
     return seq
-
-
-def greedy_decode_with_scores(regions: np.ndarray, params: DecoderParams, max_len: int):
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    with T.no_grad():
-        return _greedy(params, Tensor(np.asarray(regions)[None]), max_len)
 
 
 def beam_decode(regions: np.ndarray, params: DecoderParams, width: int, max_len: int) -> list:

@@ -16,7 +16,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .decoder import teacher_forced_batch
-from .losses import au_probs_from_pair_logits
 from .stem import regions_of
 
 DECISION_THRESHOLD = 0.5
@@ -103,15 +102,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def pooled_branch_vectors(vhats):
-    """Refined maps -> (B, N, d) spatially pooled classifier inputs."""
-    rows = []
-    for vhat in vhats:
-        b, c, h, w = vhat.shape
-        rows.append(vhat.reshape(b, c, h * w).mean(axis=2))
-    return T.stack(rows, axis=1)
-
-
 def evaluate_model(model, dataset, indices, max_len=None, k: int = 5,
                    batch_size: int = 128, fold=None) -> EvalReport:
     """Score AU decisions and teacher-forced caption ranks on a sample set."""
@@ -130,13 +120,10 @@ def evaluate_model(model, dataset, indices, max_len=None, k: int = 5,
             idx = indices[start : start + batch_size]
             x = Tensor(dataset.images[idx].astype(cfg.np_dtype))
             b = idx.size
-            v = model.fused_map(x)
-            vhats = model.refined_maps(v)
-            probs = au_probs_from_pair_logits(model.au_pair_logits(vhats))
+            v, vhats, probs = model.forward_probs(x)
             probs_all[start : start + b] = probs.data
 
-            reg = T.stack([regions_of(vh) for vh in vhats], axis=1)
-            flat_reg = reg.reshape(b * cfg.n_aus, reg.shape[2], cfg.feat_dim)
+            flat_reg = model.local_regions(vhats)
             flat_gold = local_tok[idx].reshape(b * cfg.n_aus, -1)
             _, _, logits, mask = teacher_forced_batch(model.local_dec, flat_reg, flat_gold)
             steps = mask.reshape(-1)
@@ -183,11 +170,11 @@ def export_embeddings(model, dataset, indices, path, batch_size: int = 128) -> i
             for start in range(0, indices.size, batch_size):
                 idx = indices[start : start + batch_size]
                 x = Tensor(dataset.images[idx].astype(cfg.np_dtype))
-                vhats = model.refined_maps(model.fused_map(x))
-                pooled = pooled_branch_vectors(vhats)  # (B, N, d)
+                _, vhats, _ = model.forward_probs(x)
+                pooled = model.pool_branches(vhats)  # N tensors of (B, d)
                 for bi, sample in enumerate(idx):
                     for au in range(cfg.n_aus):
-                        vec = ",".join(repr(float(v_)) for v_ in pooled.data[bi, au])
+                        vec = ",".join(repr(float(v_)) for v_ in pooled[au].data[bi])
                         fh.write(f"{sample},{dataset.subject_ids[sample]},"
                                  f"{dataset.genders[sample]},{au},"
                                  f"{int(dataset.labels[sample, au])},{vec}\n")

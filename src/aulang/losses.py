@@ -86,40 +86,6 @@ def sequence_nll(logprobs, mask) -> Tensor:
     return -(per_seq.mean() if per_seq.data.ndim else per_seq)
 
 
-def _stack_ragged(sequences):
-    items = [seq if isinstance(seq, Tensor) else Tensor(np.asarray(seq, dtype=np.float64))
-             for seq in sequences]
-    if not items:
-        raise ValueError("no sequences given")
-    for it in items:
-        if it.data.ndim != 1 or it.data.size == 0:
-            raise ValueError("each log-prob sequence must be a non-empty vector")
-    t_max = max(it.data.size for it in items)
-    dtype = items[0].data.dtype
-    rows, mask = [], np.zeros((len(items), t_max), dtype=bool)
-    for i, it in enumerate(items):
-        n = it.data.size
-        mask[i, :n] = True
-        if n < t_max:
-            it = T.concat([it, Tensor(np.zeros(t_max - n, dtype=dtype))], axis=0)
-        rows.append(it)
-    return T.stack(rows, axis=0), mask
-
-
-def local_gen_loss(per_branch_logprobs) -> Tensor:
-    """Mean over AU branches of each branch caption's mean NLL."""
-    stacked, mask = _stack_ragged(per_branch_logprobs)
-    return sequence_nll(stacked, mask)
-
-
-def global_gen_loss(logprobs) -> Tensor:
-    """Mean NLL of the single global caption."""
-    lp = logprobs if isinstance(logprobs, Tensor) else Tensor(np.asarray(logprobs, dtype=np.float64))
-    if lp.data.ndim != 1 or lp.data.size == 0:
-        raise ValueError("log-prob sequence must be a non-empty vector")
-    return sequence_nll(lp.reshape(1, -1), np.ones((1, lp.data.size), dtype=bool))
-
-
 def au_probs_from_pair_logits(pair_logits: Tensor) -> Tensor:
     """(..., N, 2) inactive/active logits -> (..., N) active probabilities."""
     if pair_logits.shape[-1] != 2:

@@ -12,17 +12,18 @@ fused map's regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .stem import StemParams, MscParams, stem_forward, msc_forward, regions_of
+from .stem import Image, StemParams, MscParams, stem_forward, msc_forward, regions_of
 from .dair import BranchParams, refine
 from .decoder import DecoderParams, teacher_forced_batch, greedy_decode, beam_decode
 from .losses import (
     ClassWeights,
+    NonFiniteLossError,
     au_probs_from_pair_logits,
     fau_loss,
     global_aux_au_loss,
@@ -118,15 +119,27 @@ class Model:
     def refined_maps(self, v: Tensor):
         return [refine(v, br) for br in self.branches]
 
+    def pool_branches(self, vhats):
+        """Refined maps -> per-branch (B, d) spatial means, the classifier inputs."""
+        out = []
+        for vhat in vhats:
+            b, c, h, w = vhat.shape
+            out.append(vhat.reshape(b, c, h * w).mean(axis=2))
+        return out
+
     def au_pair_logits(self, vhats):
         """Refined maps -> (B, N, 2) logits via the shared classifier."""
         pairs = []
-        for i, vhat in enumerate(vhats):
-            b, c, h, w = vhat.shape
-            pooled = vhat.reshape(b, c, h * w).mean(axis=2)  # (B, d)
+        for i, pooled in enumerate(self.pool_branches(vhats)):
             logits = pooled @ self.clf_weight + self.clf_bias  # (B, 2N)
             pairs.append(logits[:, 2 * i : 2 * i + 2])
         return T.stack(pairs, axis=1)
+
+    def local_regions(self, vhats) -> Tensor:
+        """Refined maps -> (B*N, L, d) region batch for the local decoder."""
+        reg = T.stack([regions_of(vh) for vh in vhats], axis=1)  # (B, N, L, d)
+        b, n, l, d = reg.shape
+        return reg.reshape(b * n, l, d)
 
     def forward_probs(self, x: Tensor):
         """Image batch -> (fused map, refined maps, (B, N) AU probabilities)."""
@@ -159,21 +172,15 @@ class Model:
         y = np.asarray(labels, dtype=dt)
         zero = Tensor(np.asarray(0.0, dtype=dt))
 
-        v = self.fused_map(x)
+        v, vhats, probs = self.forward_probs(x)
         l_fau = l_lgen = l_ggen = l_gau = zero
-
-        if on["fau"] or on["lgen"]:
-            vhats = self.refined_maps(v)
-            if on["fau"]:
-                probs = au_probs_from_pair_logits(self.au_pair_logits(vhats))
-                l_fau = fau_loss(probs, y, weights)
-            if on["lgen"]:
-                b = x.shape[0]
-                reg = T.stack([regions_of(vh) for vh in vhats], axis=1)  # (B, N, L, d)
-                flat_reg = reg.reshape(b * cfg.n_aus, reg.shape[2], cfg.feat_dim)
-                flat_gold = np.asarray(local_tokens).reshape(b * cfg.n_aus, -1)
-                lp, _, _, mask = teacher_forced_batch(self.local_dec, flat_reg, flat_gold)
-                l_lgen = sequence_nll(lp, mask)
+        if on["fau"]:
+            l_fau = fau_loss(probs, y, weights)
+        if on["lgen"]:
+            flat_gold = np.asarray(local_tokens).reshape(x.shape[0] * cfg.n_aus, -1)
+            lp, _, _, mask = teacher_forced_batch(self.local_dec, self.local_regions(vhats),
+                                                  flat_gold)
+            l_lgen = sequence_nll(lp, mask)
 
         if on["ggen"] or on["gau"]:
             lp, ctxs, _, mask = teacher_forced_batch(self.global_dec, regions_of(v),
@@ -194,13 +201,18 @@ class Model:
     # ----- description -----------------------------------------------------
 
     def describe_ids(self, image: np.ndarray, beam_width: int = 3, max_len=None):
-        """One image -> (AU probs, per-AU token ids, global token ids)."""
+        """One (C, H, W) image in [0, 1] -> (AU probs, per-AU token ids,
+        global token ids).  Raises ValueError on an invalid image and
+        NonFiniteLossError when the probabilities leave the reals."""
         max_len = max_len or self.config.max_len
+        image = Image(image).data
         decode = ((lambda r, p: beam_decode(r, p, beam_width, max_len))
                   if beam_width > 1 else (lambda r, p: greedy_decode(r, p, max_len)))
         with T.no_grad():
-            x = Tensor(np.asarray(image, dtype=self.config.np_dtype)[None])
+            x = Tensor(image.astype(self.config.np_dtype)[None])
             v, vhats, probs = self.forward_probs(x)
+            if not np.isfinite(probs.data).all():
+                raise NonFiniteLossError("AU probabilities are not finite")
             local_ids = [decode(regions_of(vh).data[0], self.local_dec) for vh in vhats]
             global_ids = decode(regions_of(v).data[0], self.global_dec)
         return probs.data[0], local_ids, global_ids

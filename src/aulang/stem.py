@@ -3,7 +3,7 @@ global facial feature map.
 
 Each stage halves the spatial resolution and doubles the channel count, so a
 C x H x W input yields stage shapes (c0*2^(k-1), H/2^k, W/2^k) for k=1..4.
-The fusion step (``msc_fuse``) applies one 3x3 convolution per stage, average
+The fusion step (``msc_forward``) applies one 3x3 convolution per stage, average
 pools every stage down to the coarsest (stage-4) grid, concatenates along
 channels and projects to the target width with a learnable linear map.  There
 is no nonlinearity inside the fusion, so it is linear in the stage inputs
@@ -42,40 +42,6 @@ class Image:
             raise ValueError("image contains non-finite values")
         if self.data.min() < 0.0 or self.data.max() > 1.0:
             raise ValueError("image values must lie in [0, 1]")
-
-
-class FeatureMap:
-    """A (C, H', W') feature array with an equivalent (L, C) region view."""
-
-    def __init__(self, data: np.ndarray):
-        data = np.asarray(data)
-        if data.ndim != 3:
-            raise ValueError(f"feature map must be (C, H', W'), got {data.shape}")
-        if not np.isfinite(data).all():
-            raise ValueError("feature map contains non-finite values")
-        self.data = data
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def regions(self) -> np.ndarray:
-        """(L, C) view with L = H'*W'; regions()[l, c] == data[c].flat[l]."""
-        c = self.data.shape[0]
-        return self.data.reshape(c, -1).T
-
-    @classmethod
-    def from_regions(cls, regions: np.ndarray, height: int, width: int) -> "FeatureMap":
-        return cls(regions.T.reshape(-1, height, width))
-
-
-@dataclass
-class StagePyramid:
-    stages: list  # 4 FeatureMaps, finest to coarsest
-
-    def __post_init__(self):
-        if len(self.stages) != N_STAGES:
-            raise ValueError(f"pyramid needs exactly {N_STAGES} stages")
 
 
 def _he_conv(rng, f, c, k, dtype):
@@ -188,16 +154,3 @@ def regions_of(v: Tensor) -> Tensor:
     b, c, h, w = v.shape
     return v.reshape(b, c, h * w).transpose(0, 2, 1)
 
-
-def encode_stages(image: Image, params: StemParams) -> StagePyramid:
-    """Single-image stage extraction returning plain feature maps."""
-    with T.no_grad():
-        stages = stem_forward(Tensor(image.data[None]), params)
-    return StagePyramid([FeatureMap(s.data[0]) for s in stages])
-
-
-def msc_fuse(pyramid: StagePyramid, params: MscParams) -> FeatureMap:
-    """Single-image fusion of a stage pyramid into the global feature map."""
-    with T.no_grad():
-        fused = msc_forward([Tensor(fm.data[None]) for fm in pyramid.stages], params)
-    return FeatureMap(fused.data[0])

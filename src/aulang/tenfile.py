@@ -35,7 +35,11 @@ def read_tensor(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise ValueError(f"{path}: header truncated at {len(blob)} bytes")
     (rank,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < 8 + 4 * rank:
+        raise ValueError(f"{path}: header of rank {rank} truncated at {len(blob)} bytes")
     dims = struct.unpack_from(f"<{rank}I", blob, 8)
     data = np.frombuffer(blob, dtype="<f4", offset=8 + 4 * rank)
     expect = int(np.prod(dims)) if rank else 1

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 from .data import Dataset, occurrence_rates, split_folds
 from .evaluate import EvalReport, evaluate_model
 from .losses import compute_class_weights
@@ -123,13 +122,6 @@ def augment_array(images: np.ndarray, rng, cfg: TrainConfig) -> np.ndarray:
             left = int(rng.integers(0, ww - size + 1))
             out[i, :, top : top + size, left : left + size] = 0.0
     return out
-
-
-def augment(image, rng, cfg: TrainConfig):
-    """Single-sample convenience wrapper keeping Image metadata."""
-    from .stem import Image
-    out = augment_array(image.data[None], rng, cfg)[0]
-    return Image(out, subject_id=image.subject_id, gender_tag=image.gender_tag)
 
 
 def train_step(model: Model, opt: AdamW, batch: dict, weights, enable=None) -> dict:

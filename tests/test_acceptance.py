@@ -17,16 +17,15 @@ from aulang.data import DataConfig, generate_dataset, load_dataset, split_folds
 from aulang.decoder import (
     EOS,
     DecoderParams,
+    attend,
     beam_decode,
     greedy_decode,
-    soft_attention,
     teacher_forced_logprobs,
 )
 from aulang.losses import (
     compute_class_weights,
     fau_loss,
-    global_gen_loss,
-    local_gen_loss,
+    sequence_nll,
 )
 from aulang.model import Model, ModelConfig
 from aulang.train import TrainConfig, grad_check_model, load_checkpoint, train
@@ -75,8 +74,11 @@ def test_criterion_2_uniform_predictor_losses():
             assert abs(got - np.log(2.0) / n) <= 1e-9
         for voc in (4, 10, 50):
             row = np.full(6, np.log(1.0 / voc))
-            assert abs(float(local_gen_loss([row, row[:3]]).data) - np.log(voc)) <= 1e-9
-            assert abs(float(global_gen_loss(row).data) - np.log(voc)) <= 1e-9
+            local = np.stack([row, np.r_[row[:3], np.zeros(3)]])  # second caption: 3 steps
+            local_mask = np.array([[True] * 6, [True] * 3 + [False] * 3])
+            assert abs(float(sequence_nll(local, local_mask).data) - np.log(voc)) <= 1e-9
+            global_mask = np.ones((1, 6), dtype=bool)
+            assert abs(float(sequence_nll(row[None], global_mask).data) - np.log(voc)) <= 1e-9
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -94,7 +96,9 @@ def test_criterion_3_attention_normalisation():
             params = DecoderParams.init(rng, d, hidden, vocab_size=5, embed_dim=4)
             regions = rng.standard_normal((n_regions, d)).astype(np.float32) * 3.0
             h = rng.standard_normal(hidden).astype(np.float32) * 3.0
-            alpha = soft_attention(regions, h, params)
+            with T.no_grad():
+                alpha, _ = attend(params, T.Tensor(regions[None]), T.Tensor(h[None]))
+            alpha = alpha.data[0]
             assert alpha.shape == (n_regions,)
             assert (alpha >= 0).all()
             assert abs(float(alpha.sum()) - 1.0) <= 1e-6

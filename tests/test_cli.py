@@ -140,19 +140,6 @@ def test_describe_json_fields(workspace, capsys):
     assert isinstance(payload["global_description"], str)
 
 
-def test_describe_workers_env_cap(workspace, capsys, monkeypatch):
-    base = ["describe", "--checkpoint", str(workspace["checkpoint"]),
-            "--data", str(workspace["data"]), "--sample", "1", "--json"]
-    assert main(base + ["--workers", "4"]) == 0
-    many = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv("AU_DESCRIBE_THREADS", "1")
-    assert main(base + ["--workers", "4"]) == 0
-    capped = json.loads(capsys.readouterr().out)
-    assert many == capped  # thread count never changes the answer
-    monkeypatch.setenv("AU_DESCRIBE_THREADS", "zzz")
-    assert main(base) == 2
-
-
 def test_describe_requires_one_source(workspace, capsys):
     assert main(["describe", "--checkpoint", str(workspace["checkpoint"])]) == 2
     assert main(["describe", "--checkpoint", str(workspace["checkpoint"]),
@@ -172,6 +159,50 @@ def test_describe_standalone_image(workspace, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "sample_id" not in payload
     assert len(payload["aus"]) == 3
+
+
+def _describe_image(workspace, path, checkpoint=None):
+    return main(["describe", "--checkpoint", str(checkpoint or workspace["checkpoint"]),
+                 "--image", str(path), "--json"])
+
+
+def _one_line(err):
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("fill", [np.nan, 7.0])
+def test_describe_rejects_invalid_image(workspace, tmp_path, capsys, fill):
+    from aulang.tenfile import write_tensor
+    path = tmp_path / "bad.ten"
+    write_tensor(path, np.full((3, 32, 32), fill, dtype=np.float32))
+    assert _describe_image(workspace, path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid configuration" in _one_line(captured.err)
+
+
+def test_describe_truncated_tensor_file_exits_2(workspace, tmp_path, capsys):
+    path = tmp_path / "short.ten"
+    path.write_bytes(b"TEN1\x01\x00")
+    assert _describe_image(workspace, path) == 2
+    assert "truncated" in _one_line(capsys.readouterr().err)
+
+
+def test_describe_non_finite_weights_exit_4(workspace, tmp_path, capsys):
+    import shutil
+    from aulang.data import load_dataset
+    from aulang.tenfile import write_tensor
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workspace["checkpoint"], ckpt)
+    write_tensor(ckpt / "params" / "clf.bias.ten", np.full(6, np.nan, dtype=np.float32))
+    img_path = tmp_path / "img.ten"
+    write_tensor(img_path, load_dataset(workspace["data"]).images[2])
+    assert _describe_image(workspace, img_path, checkpoint=ckpt) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in _one_line(captured.err)
 
 
 def test_export_embeddings_cli(workspace, tmp_path, capsys):

@@ -16,7 +16,6 @@ from aulang.data import (
     gender_of,
     generate_dataset,
     load_dataset,
-    load_frame_dataset,
     occurrence_rates,
     recover_labels,
     render_sample,
@@ -203,7 +202,3 @@ def test_occurrence_rates_clamped():
     with pytest.raises(ValueError):
         occurrence_rates(np.zeros((0, 3)))
 
-
-def test_external_loader_is_a_stub():
-    with pytest.raises(NotImplementedError):
-        load_frame_dataset("/nowhere")

@@ -8,12 +8,10 @@ import pytest
 from aulang import tensor as T
 from aulang.decoder import (
     DecoderParams,
+    _greedy,
+    attend,
     beam_decode,
-    decode_step,
     greedy_decode,
-    greedy_decode_with_scores,
-    initial_state,
-    soft_attention,
     teacher_forced_batch,
     teacher_forced_logprobs,
 )
@@ -29,13 +27,20 @@ def tiny_regions(seed, l=2, d=3, dtype=np.float32):
     return np.random.default_rng(seed).standard_normal((l, d)).astype(dtype)
 
 
+def alpha_of(regions, h_prev, params):
+    """Attention weights of one (L, d) region set through the batched head."""
+    with T.no_grad():
+        alpha, _ = attend(params, T.Tensor(regions[None]), T.Tensor(h_prev[None]))
+    return alpha.data[0]
+
+
 def test_attention_normalised():
     # the tight 1e-9 budget needs float64; float32 rounds the sum at ~1e-7
     for seed in range(50):
         p = tiny_params(seed, d=5, hidden=6, vocab=7, embed=4, dtype=np.float64)
         regions = tiny_regions(seed + 1000, l=9, d=5, dtype=np.float64)
         h = np.random.default_rng(seed + 2000).standard_normal(6)
-        alpha = soft_attention(regions, h, p)
+        alpha = alpha_of(regions, h, p)
         assert alpha.shape == (9,)
         assert np.all(alpha >= 0)
         assert abs(float(alpha.sum()) - 1.0) < 1e-9
@@ -46,7 +51,7 @@ def test_attention_normalised_float32():
         p = tiny_params(seed, d=5, hidden=6, vocab=7, embed=4)
         regions = tiny_regions(seed + 1000, l=9, d=5)
         h = np.random.default_rng(seed + 2000).standard_normal(6).astype(np.float32)
-        alpha = soft_attention(regions, h, p)
+        alpha = alpha_of(regions, h, p)
         assert np.all(alpha >= 0)
         assert abs(float(alpha.sum()) - 1.0) < 1e-6
 
@@ -54,26 +59,16 @@ def test_attention_normalised_float32():
 def test_attention_uniform_when_readout_zero():
     p = tiny_params(0, d=4, hidden=4)
     p.w_a.data[:] = 0.0
-    alpha = soft_attention(tiny_regions(1, l=5, d=4), np.zeros(4, dtype=np.float32), p)
+    alpha = alpha_of(tiny_regions(1, l=5, d=4), np.zeros(4, dtype=np.float32), p)
     assert np.allclose(alpha, 0.2, atol=1e-9)
-
-
-def test_decode_step_shapes_and_state():
-    p = tiny_params(3)
-    regions = tiny_regions(4)
-    state = initial_state(p, n_regions=2)
-    new_state, logits = decode_step(state, 1, regions, p)
-    assert logits.shape == (4,)
-    assert new_state.h.shape == (4,) and new_state.c.shape == (4,)
-    assert abs(float(new_state.alpha.sum()) - 1.0) < 1e-6
-    assert not np.array_equal(new_state.h, state.h)
 
 
 def test_greedy_scores_match_teacher_forcing_exactly():
     for seed in range(20):
         p = tiny_params(seed)
         regions = tiny_regions(seed + 50)
-        seq, scores = greedy_decode_with_scores(regions, p, max_len=6)
+        with T.no_grad():
+            seq, scores = _greedy(p, T.Tensor(regions[None]), max_len=6)
         replay = teacher_forced_logprobs(regions, seq, p)
         assert np.array_equal(np.array(scores), replay)
 

@@ -16,9 +16,7 @@ from aulang.losses import (
     compute_class_weights,
     fau_loss,
     global_aux_au_loss,
-    global_gen_loss,
     joint_loss,
-    local_gen_loss,
     sequence_nll,
 )
 
@@ -104,17 +102,21 @@ def test_caption_losses_uniform_prediction_is_ln_vocab():
     for vocab in (4, 70):
         ls = T.log_softmax(T.Tensor(np.zeros((1, vocab))), axis=-1)
         lp = ls.data[0, :5].copy()  # any tokens; all steps cost ln(vocab)
-        assert abs(float(global_gen_loss(lp).data) - math.log(vocab)) < 1e-9
-        assert abs(float(local_gen_loss([lp, lp[:3]]).data) - math.log(vocab)) < 1e-9
+        n = lp.size
+        single = sequence_nll(lp[None], np.ones((1, n), dtype=bool))
+        assert abs(float(single.data) - math.log(vocab)) < 1e-9
+        ragged = np.stack([lp, np.r_[lp[:3], np.zeros(n - 3)]])
+        mask = np.array([[True] * n, [True] * 3 + [False] * (n - 3)])
+        assert abs(float(sequence_nll(ragged, mask).data) - math.log(vocab)) < 1e-9
 
 
-def test_local_gen_loss_hand_computed():
-    loss = local_gen_loss([[-1.0, -3.0], [-2.0]])
+def test_sequence_nll_ragged_rows_hand_computed():
+    # per-row means 2.0 and 2.0: padding past a row's mask never counts
+    lp = np.array([[-1.0, -3.0], [-2.0, -99.0]])
+    loss = sequence_nll(lp, np.array([[True, True], [True, False]]))
     assert abs(float(loss.data) - 2.0) < 1e-12
     with pytest.raises(ValueError):
-        local_gen_loss([])
-    with pytest.raises(ValueError):
-        local_gen_loss([[]])
+        sequence_nll(lp, np.array([[True, True], [False, False]]))
 
 
 def test_pair_logit_probabilities():

@@ -1,10 +1,13 @@
 """Assembled-model tests: wiring, determinism, ablation semantics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from aulang import tensor as T
-from aulang.losses import compute_class_weights
+from aulang.evaluate import export_embeddings
+from aulang.losses import compute_class_weights, fau_loss
 from aulang.model import Model, ModelConfig
 from aulang.vocab import EOS, PAD
 
@@ -108,6 +111,35 @@ def test_describe_ids_shapes():
     for ids in local_ids + [global_ids]:
         assert 1 <= len(ids) <= 4
         assert all(0 <= i < cfg.vocab_size for i in ids)
+
+
+def test_describe_train_and_export_share_the_forward(tmp_path):
+    # describe, training and export all run forward_probs, so the same
+    # images give the same bits on every path
+    model = Model(small_config(), seed=4)
+    weights = compute_class_weights([0.3, 0.5, 0.2])
+    images, labels, local, glob = small_batch(seed=11, b=3)
+    probs = model.predict(images)
+
+    for i in range(3):
+        got = model.describe_ids(images[i], beam_width=1)[0]
+        assert np.array_equal(got, model.predict(images[i][None])[0])
+
+    l_fau = model.training_losses(images, labels, local, glob, weights)["l_fau"]
+    assert float(l_fau.data) == float(fau_loss(T.Tensor(probs), labels, weights).data)
+
+    ds = SimpleNamespace(images=images, labels=labels, subject_ids=np.array([7, 8, 9]),
+                         genders=["female", "male", "female"])
+    path = tmp_path / "emb.csv"
+    assert export_embeddings(model, ds, np.arange(3), path) == 3 * 3
+    with T.no_grad():
+        vhats = model.refined_maps(model.fused_map(T.Tensor(images)))
+    for line in path.read_text().splitlines()[1:]:
+        row = line.split(",")
+        sample, au = int(row[0]), int(row[3])
+        b, c, h, w = vhats[au].shape
+        want = vhats[au].data.reshape(b, c, h * w).mean(axis=2)[sample]
+        assert np.array_equal(np.array([float(x) for x in row[5:]]), want.astype(np.float64))
 
 
 def test_config_validation():

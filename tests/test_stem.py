@@ -6,14 +6,11 @@ import pytest
 from aulang import stem
 from aulang import tensor as T
 from aulang.stem import (
-    FeatureMap,
     Image,
     MscParams,
-    StagePyramid,
     StemParams,
-    encode_stages,
     msc_forward,
-    msc_fuse,
+    regions_of,
     stem_forward,
 )
 
@@ -25,15 +22,30 @@ def make_params(seed=7, c_in=3, c0=16, cm=16, d=32):
     return sp, mp
 
 
+def encode(data, sp):
+    """(C, H, W) image -> the four (1, C', H', W') stage tensors, no gradients."""
+    with T.no_grad():
+        return stem_forward(T.Tensor(np.asarray(data, dtype=np.float32)[None]), sp)
+
+
+def fuse(stages, mp):
+    with T.no_grad():
+        return msc_forward(stages, mp)
+
+
+def const_stage(value, size):
+    return T.Tensor(np.full((1, 1, size, size), value, dtype=np.float32))
+
+
 def test_stage_shapes_and_fused_shape():
     rng = np.random.default_rng(0)
     img = Image(rng.random((3, 64, 64)))
     sp, mp = make_params()
-    pyr = encode_stages(img, sp)
-    shapes = [fm.shape for fm in pyr.stages]
-    assert shapes == [(16, 32, 32), (32, 16, 16), (64, 8, 8), (128, 4, 4)]
-    fused = msc_fuse(pyr, mp)
-    assert fused.shape == (32, 4, 4)
+    stages = encode(img.data, sp)
+    shapes = [s.shape for s in stages]
+    assert shapes == [(1, 16, 32, 32), (1, 32, 16, 16), (1, 64, 8, 8), (1, 128, 4, 4)]
+    fused = fuse(stages, mp)
+    assert fused.shape == (1, 32, 4, 4)
 
 
 def test_indivisible_dims_rejected():
@@ -59,10 +71,10 @@ def test_zero_input_gives_zero_fused_map():
     # all biases start at zero, so a zero image must stay exactly zero
     img = Image(np.zeros((3, 32, 32), dtype=np.float32))
     sp, mp = make_params()
-    pyr = encode_stages(img, sp)
-    for fm in pyr.stages:
-        assert np.all(fm.data == 0.0)
-    fused = msc_fuse(pyr, mp)
+    stages = encode(img.data, sp)
+    for s in stages:
+        assert np.all(s.data == 0.0)
+    fused = fuse(stages, mp)
     assert np.all(fused.data == 0.0)
 
 
@@ -72,7 +84,7 @@ def test_determinism_same_seed():
     outs = []
     for _ in range(2):
         sp, mp = make_params(seed=7)
-        fused = msc_fuse(encode_stages(Image(data), sp), mp)
+        fused = fuse(encode(Image(data).data, sp), mp)
         outs.append(fused.data)
     assert np.array_equal(outs[0], outs[1])
 
@@ -88,31 +100,27 @@ def test_msc_fusion_hand_computed_scalar():
     # Constant one-channel stages at 8/4/2/1 resolution with identity convs:
     # pooled stage means are 1, 2, 3, 4.  Projection weights (0.5, 0.25,
     # 0.25, 1.0) and bias 0.25 give 0.5 + 0.5 + 0.75 + 4 + 0.25 = 6.0.
-    stages = [
-        FeatureMap(np.full((1, 8, 8), 1.0, dtype=np.float32)),
-        FeatureMap(np.full((1, 4, 4), 2.0, dtype=np.float32)),
-        FeatureMap(np.full((1, 2, 2), 3.0, dtype=np.float32)),
-        FeatureMap(np.full((1, 1, 1), 4.0, dtype=np.float32)),
-    ]
+    stages = [const_stage(1.0, 8), const_stage(2.0, 4), const_stage(3.0, 2),
+              const_stage(4.0, 1)]
     mp = MscParams(
         conv_weights=[T.parameter(_center_tap_kernel(1)) for _ in range(4)],
         conv_biases=[T.parameter(np.zeros(1, dtype=np.float32)) for _ in range(4)],
         proj_weight=T.parameter(np.array([[0.5], [0.25], [0.25], [1.0]], dtype=np.float32)),
         proj_bias=T.parameter(np.array([0.25], dtype=np.float32)),
     )
-    fused = msc_fuse(StagePyramid(stages), mp)
-    assert fused.shape == (1, 1, 1)
-    assert fused.data[0, 0, 0] == 6.0
+    fused = fuse(stages, mp)
+    assert fused.shape == (1, 1, 1, 1)
+    assert fused.data[0, 0, 0, 0] == 6.0
 
 
 def test_msc_fusion_pooling_hand_computed():
     # A 2x2 stage [[1,2],[3,4]] pooled to 1x1 through an identity conv
     # averages to 2.5; the other stages are zero so only its weight matters.
     stages = [
-        FeatureMap(np.zeros((1, 8, 8), dtype=np.float32)),
-        FeatureMap(np.zeros((1, 4, 4), dtype=np.float32)),
-        FeatureMap(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)),
-        FeatureMap(np.zeros((1, 1, 1), dtype=np.float32)),
+        const_stage(0.0, 8),
+        const_stage(0.0, 4),
+        T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)),
+        const_stage(0.0, 1),
     ]
     mp = MscParams(
         conv_weights=[T.parameter(_center_tap_kernel(1)) for _ in range(4)],
@@ -120,8 +128,8 @@ def test_msc_fusion_pooling_hand_computed():
         proj_weight=T.parameter(np.array([[1.0], [1.0], [2.0], [1.0]], dtype=np.float32)),
         proj_bias=T.parameter(np.zeros(1, dtype=np.float32)),
     )
-    fused = msc_fuse(StagePyramid(stages), mp)
-    assert fused.data[0, 0, 0] == 5.0  # 2 * 2.5
+    fused = fuse(stages, mp)
+    assert fused.data[0, 0, 0, 0] == 5.0  # 2 * 2.5
 
 
 def test_msc_linearity_with_zero_biases():
@@ -150,12 +158,12 @@ def test_msc_stage_width_mismatch():
 
 def test_region_view_round_trip():
     rng = np.random.default_rng(2)
-    fm = FeatureMap(rng.standard_normal((5, 3, 4)).astype(np.float32))
-    regions = fm.regions()
-    assert regions.shape == (12, 5)
-    assert regions[7, 2] == fm.data[2].reshape(-1)[7]
-    back = FeatureMap.from_regions(regions, 3, 4)
-    assert np.array_equal(back.data, fm.data)
+    data = rng.standard_normal((2, 5, 3, 4)).astype(np.float32)
+    regions = regions_of(T.Tensor(data)).data
+    assert regions.shape == (2, 12, 5)
+    assert regions[1, 7, 2] == data[1, 2].reshape(-1)[7]
+    back = regions.transpose(0, 2, 1).reshape(2, 5, 3, 4)
+    assert np.array_equal(back, data)
 
 
 def test_stem_gradients_flow():

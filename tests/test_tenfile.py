@@ -39,6 +39,13 @@ def test_bad_magic_and_truncation_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(ValueError):
         read_tensor(path)
+    # headers cut short: inside the rank, before it, inside the dims, and a
+    # rank whose dims would run far past the end of the file
+    for blob in (b"TEN1\x01\x00", b"TEN1", b"TEN1" + struct.pack("<2I", 2, 3),
+                 b"TEN1" + struct.pack("<I", 0xFFFFFFFF)):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            read_tensor(path)
 
 
 def test_kv_round_trip(tmp_path):

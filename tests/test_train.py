@@ -11,7 +11,6 @@ from aulang.train import (
     AdamW,
     GradCheckReport,
     TrainConfig,
-    augment,
     augment_array,
     grad_check,
     grad_check_model,
@@ -118,15 +117,6 @@ def test_augment_crop_and_errors():
     same = augment_array(imgs, np.random.default_rng(9), cfg)
     again = augment_array(imgs, np.random.default_rng(9), cfg)
     assert np.array_equal(same, again)
-
-
-def test_augment_single_image_wrapper():
-    from aulang.stem import Image
-    img = Image(np.random.default_rng(0).random((3, 32, 32)).astype(np.float32),
-                subject_id=4, gender_tag="male")
-    out = augment(img, np.random.default_rng(1), TrainConfig())
-    assert out.subject_id == 4 and out.gender_tag == "male"
-    assert out.data.shape == (3, 32, 32)
 
 
 def test_train_step_learns_and_aborts_on_nan():

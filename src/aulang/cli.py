@@ -17,12 +17,13 @@ import sys
 
 import numpy as np
 
-from .data import DataConfig, generate_dataset, load_dataset
+from .data import DataConfig, DatasetManifest, generate_dataset, load_dataset, sample_path
 from .evaluate import DECISION_THRESHOLD, evaluate_model, export_embeddings
 from .losses import NonFiniteLossError
 from .model import ModelConfig
 from .tenfile import read_kv, read_tensor
 from .train import TrainConfig, load_checkpoint, train
+from .vocab import Vocabulary
 
 _SECTIONS = {"data": DataConfig, "model": ModelConfig, "train": TrainConfig}
 
@@ -169,11 +170,15 @@ def cmd_train(args, settings):
     return 0
 
 
+def _check_vocab(dataset_vocab, vocab):
+    if dataset_vocab != vocab:
+        raise ConfigError("dataset vocabulary differs from the checkpoint's")
+
+
 def _load_model_and_data(args):
     model, vocab, manifest = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    if dataset.vocab != vocab:
-        raise ConfigError("dataset vocabulary differs from the checkpoint's")
+    _check_vocab(dataset.vocab, vocab)
     return model, dataset, manifest
 
 
@@ -211,14 +216,15 @@ def cmd_eval(args, settings):
 def cmd_describe(args, settings):
     if (args.sample is None) == (args.image is None):
         raise ConfigError("describe needs exactly one of --sample or --image")
+    model, vocab, _ = load_checkpoint(args.checkpoint)
     if args.sample is not None:
-        model, dataset, _ = _load_model_and_data(args)
-        if not 0 <= args.sample < len(dataset):
-            raise ConfigError(f"sample must be in 0..{len(dataset) - 1}")
-        image = dataset.images[args.sample]
-        vocab = dataset.vocab
+        # read only what one sample needs, not the whole dataset
+        n_samples = DatasetManifest.read(os.path.join(args.data, "manifest.txt")).n_samples
+        _check_vocab(Vocabulary.load(os.path.join(args.data, "vocab.txt")), vocab)
+        if not 0 <= args.sample < n_samples:
+            raise ConfigError(f"sample must be in 0..{n_samples - 1}")
+        image = read_tensor(sample_path(args.data, args.sample))
     else:
-        model, vocab, _ = load_checkpoint(args.checkpoint)
         image = read_tensor(args.image)
     probs, local_ids, global_ids = model.describe_ids(image, beam_width=args.beam)
 

@@ -257,7 +257,7 @@ def generate_dataset(cfg: DataConfig, seed: int, out_dir) -> DatasetManifest:
         rng = np.random.default_rng([seed, 11, idx])
         states = sample_labels(cfg, rng)
         image = render_sample(subject, states, cfg, rng, base_seed=seed)
-        write_tensor(os.path.join(images_dir, f"sample_{idx:05d}.ten"), image.data)
+        write_tensor(sample_path(out_dir, idx), image.data)
         locals_, global_ = compose_captions(states, image.gender_tag)
         label_rows.append((idx, subject, image.gender_tag, states))
         caption_rows.append({"sample_id": idx, "locals": locals_, "global": global_})
@@ -288,6 +288,7 @@ class Dataset:
     local_captions: list  # M lists of N strings
     global_captions: list  # M strings
     vocab: Vocabulary
+    _encoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.images.shape[0]
@@ -297,15 +298,39 @@ class Dataset:
         return self.manifest.config
 
     def encoded_captions(self, max_len: int):
-        """(M, N, T) local and (M, T) global padded token matrices."""
-        m, n = self.labels.shape
-        local = np.zeros((m, n, max_len), dtype=np.int64)
-        global_ = np.zeros((m, max_len), dtype=np.int64)
-        for s in range(m):
-            for i in range(n):
-                local[s, i] = self.vocab.encode_padded(self.local_captions[s][i], max_len)
-            global_[s] = self.vocab.encode_padded(self.global_captions[s], max_len)
-        return local, global_
+        """(M, N, T) local and (M, T) global padded token matrices.
+
+        Encoded once per ``max_len`` and cached; the arrays are read-only so
+        no caller can corrupt the cache."""
+        if max_len not in self._encoded:
+            m, n = self.labels.shape
+            local = np.zeros((m, n, max_len), dtype=np.int64)
+            global_ = np.zeros((m, max_len), dtype=np.int64)
+            for s in range(m):
+                for i in range(n):
+                    local[s, i] = self.vocab.encode_padded(self.local_captions[s][i], max_len)
+                global_[s] = self.vocab.encode_padded(self.global_captions[s], max_len)
+            local.flags.writeable = global_.flags.writeable = False
+            self._encoded[max_len] = (local, global_)
+        return self._encoded[max_len]
+
+
+def sample_path(root, idx: int) -> str:
+    """Path of sample ``idx``'s image tensor inside a dataset directory."""
+    return os.path.join(str(root), "images", f"sample_{idx:05d}.ten")
+
+
+def _check_sample_ids(ids, m: int, path: str) -> None:
+    """Every id in 0..m-1 must appear exactly once in a per-sample file."""
+    seen = np.zeros(m, dtype=bool)
+    for idx in ids:
+        if not 0 <= idx < m:
+            raise ValueError(f"{path}: sample id {idx} is outside 0..{m - 1}")
+        if seen[idx]:
+            raise ValueError(f"{path}: sample id {idx} appears more than once")
+        seen[idx] = True
+    if not seen.all():
+        raise ValueError(f"{path}: sample id {int(np.argmin(seen))} is missing")
 
 
 def load_dataset(root) -> Dataset:
@@ -315,28 +340,32 @@ def load_dataset(root) -> Dataset:
     m = manifest.n_samples
     images = np.empty((m, 3, cfg.height, cfg.width), dtype=np.float32)
     for idx in range(m):
-        images[idx] = read_tensor(os.path.join(root, "images", f"sample_{idx:05d}.ten"))
+        images[idx] = read_tensor(sample_path(root, idx))
     labels = np.zeros((m, cfg.n_aus), dtype=np.int64)
     subject_ids = np.zeros(m, dtype=np.int64)
     genders = [""] * m
-    with open(os.path.join(root, "labels.csv"), encoding="utf-8") as fh:
+    labels_path = os.path.join(root, "labels.csv")
+    with open(labels_path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         expect = ["sample_id", "subject_id", "gender"] + [f"au_{i}" for i in range(cfg.n_aus)]
         if header != expect:
             raise ValueError(f"labels.csv header mismatch: {header}")
-        for line in fh:
-            parts = line.strip().split(",")
-            idx = int(parts[0])
-            subject_ids[idx] = int(parts[1])
-            genders[idx] = parts[2]
-            labels[idx] = [int(x) for x in parts[3:]]
+        rows = [line.strip().split(",") for line in fh]
+    _check_sample_ids([int(parts[0]) for parts in rows], m, labels_path)
+    for parts in rows:
+        idx = int(parts[0])
+        subject_ids[idx] = int(parts[1])
+        genders[idx] = parts[2]
+        labels[idx] = [int(x) for x in parts[3:]]
     local_captions = [None] * m
     global_captions = [None] * m
-    with open(os.path.join(root, "captions.jsonl"), encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            local_captions[row["sample_id"]] = row["locals"]
-            global_captions[row["sample_id"]] = row["global"]
+    captions_path = os.path.join(root, "captions.jsonl")
+    with open(captions_path, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    _check_sample_ids([row["sample_id"] for row in rows], m, captions_path)
+    for row in rows:
+        local_captions[row["sample_id"]] = row["locals"]
+        global_captions[row["sample_id"]] = row["global"]
     vocab = Vocabulary.load(os.path.join(root, "vocab.txt"))
     return Dataset(manifest, images, labels, subject_ids, genders,
                    local_captions, global_captions, vocab)

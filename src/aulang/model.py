@@ -203,7 +203,10 @@ class Model:
     def describe_ids(self, image: np.ndarray, beam_width: int = 3, max_len=None):
         """One (C, H, W) image in [0, 1] -> (AU probs, per-AU token ids,
         global token ids).  Raises ValueError on an invalid image and
-        NonFiniteLossError when the probabilities leave the reals."""
+        NonFiniteLossError when the probabilities leave the reals.  A beam
+        width of 1 decodes greedily; widths below 1 raise ValueError."""
+        if beam_width < 1:
+            raise ValueError(f"beam width must be at least 1, got {beam_width}")
         max_len = max_len or self.config.max_len
         image = Image(image).data
         decode = ((lambda r, p: beam_decode(r, p, beam_width, max_len))

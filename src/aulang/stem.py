@@ -8,6 +8,10 @@ pools every stage down to the coarsest (stage-4) grid, concatenates along
 channels and projects to the target width with a learnable linear map.  There
 is no nonlinearity inside the fusion, so it is linear in the stage inputs
 whenever all fusion biases are zero.
+
+The code computes each stage's conv and k x k mean as one stride-k conv whose
+(k+2) x (k+2) kernel is the stored 3x3 kernel box-filtered by a constant matmul
+inside the graph, so gradients and checkpoints keep the 3x3 weights.
 """
 
 from __future__ import annotations
@@ -138,10 +142,13 @@ def msc_forward(stages: list, params: MscParams) -> Tensor:
             )
     target_h = stages[-1].shape[2]
     pooled = []
-    for k, (s, wgt, bias) in enumerate(zip(stages, params.conv_weights, params.conv_biases)):
-        conv = T.conv2d(s, wgt, bias, stride=1, pad=1)
-        factor = s.shape[2] // target_h
-        pooled.append(T.avg_pool2d(conv, factor))
+    for s, wgt, bias in zip(stages, params.conv_weights, params.conv_biases):
+        k = s.shape[2] // target_h
+        if k > 1:
+            # band[u:u+k, u] = 1/k; the bias is unchanged, as the mean of a constant
+            band = sum(np.eye(k + 2, 3, -i, dtype=wgt.dtype) for i in range(k)) / k
+            wgt = Tensor(band) @ wgt @ Tensor(band.T)
+        pooled.append(T.conv2d(s, wgt, bias, stride=k, pad=1))
     cat = T.concat(pooled, axis=1)  # (B, 4*cm, h4, w4)
     b, dcat, h4, w4 = cat.shape
     flat = cat.reshape(b, dcat, h4 * w4).transpose(0, 2, 1)  # (B, L, 4*cm)

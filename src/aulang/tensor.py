@@ -294,9 +294,24 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     # tanh approximation; smooth everywhere, which keeps finite-difference
-    # gradient checks clean
-    c = math.sqrt(2.0 / math.pi)
-    return x * 0.5 * (tanh((x + x * x * x * 0.044715) * c) + 1.0)
+    # gradient checks clean.  One node that replays the composite
+    # x * 0.5 * (tanh((x + x*x*x * a) * c) + 1) op by op in both directions, so
+    # values and gradients match it bit for bit.  Its node values are named:
+    # numpy writes into an unnamed temporary and keeps that memory layout, and
+    # the layout orders the sum of a following conv2d's bias gradient.
+    d = x.data
+    a, c, half, one = (np.asarray(v, dtype=d.dtype)
+                       for v in (0.044715, math.sqrt(2.0 / math.pi), 0.5, 1.0))
+    t = np.tanh((d + d * d * d * a) * c)
+
+    def bw(g):
+        n1, n2, n8 = d * half, d * d, t + one
+        g5 = g * n1 * (one - t * t) * c  # reaches x through the + node
+        g3 = g5 * a  # reaches x through the x*x*x node
+        g2 = g3 * d
+        x._accum(g * n8 * half + g5 + g3 * n2 + g2 * d + g2 * d)
+
+    return Tensor._node(d * half * (t + one), (x,), bw)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -380,7 +395,7 @@ def stack(tensors: list, axis: int = 0) -> Tensor:
     return concat(expanded, axis=axis)
 
 
-# -- convolution / pooling -------------------------------------------------------
+# -- convolution -------------------------------------------------------------
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -416,23 +431,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._node(out_data, parents, bw)
-
-
-def avg_pool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k average pooling; spatial dims must divide by k."""
-    if k == 1:
-        return x
-    bsz, c, h, w = x.data.shape
-    if h % k or w % k:
-        raise ValueError(f"avg_pool2d: spatial dims ({h},{w}) not divisible by {k}")
-    out_data = x.data.reshape(bsz, c, h // k, k, w // k, k).mean(axis=(3, 5))
-    scale = 1.0 / (k * k)
-
-    def bw(g):
-        ge = np.broadcast_to(g[:, :, :, None, :, None] * scale, (bsz, c, h // k, k, w // k, k))
-        x._accum(ge.reshape(bsz, c, h, w).copy())
-
-    return Tensor._node(out_data, (x,), bw)
 
 
 # -- parameter helpers -------------------------------------------------------------

@@ -205,6 +205,55 @@ def test_describe_non_finite_weights_exit_4(workspace, tmp_path, capsys):
     assert "numerical failure" in _one_line(captured.err)
 
 
+@pytest.mark.parametrize("width", ["0", "-5"])
+def test_describe_rejects_beam_below_one(workspace, capsys, width):
+    assert main(["describe", "--checkpoint", str(workspace["checkpoint"]),
+                 "--data", str(workspace["data"]), "--sample", "0",
+                 "--beam", width, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beam width" in _one_line(captured.err)
+
+
+def test_describe_sample_reads_only_its_image(workspace, tmp_path, capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    kept = data / "images" / "sample_00002.ten"
+    for path in (data / "images").iterdir():
+        if path != kept:
+            path.unlink()
+    base = ["describe", "--checkpoint", str(workspace["checkpoint"]), "--json"]
+    assert main(base + ["--data", str(data), "--sample", "2"]) == 0
+    from_sample = json.loads(capsys.readouterr().out)
+    assert from_sample.pop("sample_id") == 2
+    assert main(base + ["--image", str(kept)]) == 0
+    assert json.loads(capsys.readouterr().out) == from_sample
+
+    assert main(base + ["--data", str(data), "--sample", "24"]) == 2
+    assert "sample must be in 0..23" in _one_line(capsys.readouterr().err)
+    assert main(base + ["--data", str(tmp_path / "nope"), "--sample", "2"]) == 3
+    assert "i/o error" in _one_line(capsys.readouterr().err)
+    with open(data / "vocab.txt", "a", encoding="utf-8") as fh:
+        fh.write("extraword\n")
+    assert main(base + ["--data", str(data), "--sample", "2"]) == 2
+    assert "vocabulary differs" in _one_line(capsys.readouterr().err)
+
+
+def test_eval_missing_caption_row_exits_2(workspace, tmp_path, capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    captions = data / "captions.jsonl"
+    rows = captions.read_text(encoding="utf-8").splitlines(keepends=True)
+    captions.write_text("".join(rows[:3] + rows[4:]), encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(workspace["checkpoint"]),
+                 "--data", str(data), "--fold", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "captions.jsonl: sample id 3 is missing" in _one_line(captured.err)
+
+
 def test_export_embeddings_cli(workspace, tmp_path, capsys):
     out = tmp_path / "emb.csv"
     code = main(["export-embeddings", "--checkpoint", str(workspace["checkpoint"]),

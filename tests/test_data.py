@@ -1,5 +1,6 @@
 """Synthetic dataset generation, captioning and split tests."""
 
+import json
 import os
 
 import numpy as np
@@ -163,6 +164,13 @@ def test_encoded_captions_layout(tmp_path):
     eos_at = int(np.where(row == EOS)[0][0])
     assert np.all(row[eos_at + 1 :] == PAD)
     assert ds.vocab.decode(global_[3]) == ds.global_captions[3]
+    # encoded once per max_len and handed out read-only
+    assert ds.encoded_captions(max_len=16)[0] is local
+    assert ds.encoded_captions(max_len=12)[0].shape == (12, 4, 12)
+    with pytest.raises(ValueError):
+        local[0, 0, 0] = 0
+    with pytest.raises(ValueError):
+        global_[0, 0] = 0
 
 
 def test_manifest_round_trip(tmp_path):
@@ -202,3 +210,32 @@ def test_occurrence_rates_clamped():
     with pytest.raises(ValueError):
         occurrence_rates(np.zeros((0, 3)))
 
+
+def _replace_id(name, row, new_id):
+    if name == "labels.csv":
+        return f"{new_id}," + row.split(",", 1)[1]
+    return json.dumps(dict(json.loads(row), sample_id=new_id), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", ["labels.csv", "captions.jsonl"])
+@pytest.mark.parametrize("defect,message", [
+    ("missing", "sample id 5 is missing"),
+    ("duplicated", "sample id 4 appears more than once"),
+    ("out_of_range", "sample id 12 is outside 0..11"),
+])
+def test_load_dataset_checks_every_sample_id_once(tmp_path, name, defect, message):
+    generate_dataset(DataConfig(**TINY), seed=5, out_dir=tmp_path)
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    head = 1 if name == "labels.csv" else 0  # the csv header line
+    rows = lines[head:]
+    if defect == "missing":
+        del rows[5]
+    elif defect == "duplicated":
+        rows[5] = rows[4]
+    else:
+        rows[5] = _replace_id(name, rows[5], 12)
+    path.write_text("".join(lines[:head] + rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as exc:
+        load_dataset(tmp_path)
+    assert name in str(exc.value)

@@ -5,6 +5,7 @@ import pytest
 
 from aulang import stem
 from aulang import tensor as T
+from aulang.train import grad_check
 from aulang.stem import (
     Image,
     MscParams,
@@ -198,3 +199,61 @@ def test_stem_gradients_flow():
     num = (f(vp) - f(vm)) / (2 * eps)
     ana = x.grad[idx]
     assert abs(num - ana) / max(abs(num), 1e-8) < 1e-5
+
+
+def _float64_msc(mp, rng):
+    """float64 copy of ``mp`` with random non-zero biases."""
+    return MscParams(
+        [T.parameter(w.data.astype(np.float64)) for w in mp.conv_weights],
+        [T.parameter(rng.standard_normal(b.data.shape)) for b in mp.conv_biases],
+        T.parameter(mp.proj_weight.data.astype(np.float64)),
+        T.parameter(rng.standard_normal(mp.proj_bias.data.shape)),
+    )
+
+
+def _random_stages(rng, channels, size=32, batch=2):
+    return [T.Tensor(rng.standard_normal((batch, c, size // 2 ** (k + 1), size // 2 ** (k + 1))))
+            for k, c in enumerate(channels)]
+
+
+def _reference_msc(stages, mp):
+    """numpy 3x3 conv (pad 1), k x k mean, concat, projection."""
+    pooled = []
+    h4 = stages[-1].shape[2]
+    for s, w, b in zip(stages, mp.conv_weights, mp.conv_biases):
+        x = s.data
+        bsz, _, h, wd = x.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        conv = sum(np.einsum("bchw,fc->bfhw", xp[:, :, i : i + h, j : j + wd], w.data[:, :, i, j])
+                   for i in range(3) for j in range(3)) + b.data[None, :, None, None]
+        k = h // h4
+        pooled.append(conv.reshape(bsz, -1, h // k, k, wd // k, k).mean(axis=(3, 5)))
+    cat = np.concatenate(pooled, axis=1)
+    return (np.einsum("bchw,cd->bdhw", cat, mp.proj_weight.data)
+            + mp.proj_bias.data[None, :, None, None])
+
+
+def test_msc_folded_convs_match_conv_then_pool_reference():
+    # stages of 16/8/4/2 pixels fold pools of 8, 4, 2 and 1 into the convs
+    rng = np.random.default_rng(12)
+    sp, mp = make_params(seed=6, c0=4, cm=4, d=8)
+    mp64 = _float64_msc(mp, rng)
+    stages = _random_stages(rng, sp.stage_channels)
+    out = fuse(stages, mp64).data
+    ref = _reference_msc(stages, mp64)
+    assert out.shape == ref.shape == (2, 8, 2, 2)
+    assert np.abs(out - ref).max() < 1e-12
+
+
+def test_msc_conv_gradients_match_finite_differences():
+    rng = np.random.default_rng(13)
+    sp, mp = make_params(seed=8, c0=4, cm=4, d=8)
+    mp64 = _float64_msc(mp, rng)
+    stages = _random_stages(rng, sp.stage_channels, size=16)
+    target = rng.standard_normal((2, 8, 1, 1))
+    named = [(f"conv{k}.{kind}", t) for k, pair in enumerate(zip(mp64.conv_weights,
+                                                                  mp64.conv_biases), 1)
+             for kind, t in zip(("weight", "bias"), pair)]
+    report = grad_check(lambda: (msc_forward(stages, mp64) * target).sum(), named)
+    assert report.n_checked == sum(t.data.size for _, t in named)
+    assert report.max_rel_err < 1e-4, report.format_text()

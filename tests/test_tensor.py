@@ -1,5 +1,7 @@
 """Finite-difference checks for every primitive of the autodiff engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -142,11 +144,10 @@ def test_gather_grads():
     assert np.allclose(x.grad, expected)
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
-def test_conv2d_grad(stride, pad):
+def _check_conv2d_grads(stride, pad, kernel, size):
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(2, 3, 6, 6))
-    w = rng.normal(size=(4, 3, 3, 3)) * 0.3
+    x = rng.normal(size=(2, 3, size, size))
+    w = rng.normal(size=(4, 3, kernel, kernel)) * 0.3
     b = rng.normal(size=4) * 0.1
     xt, wt, bt = T.parameter(x.copy()), T.parameter(w.copy()), T.parameter(b.copy())
     T.conv2d(xt, wt, bt, stride=stride, pad=pad).sum().backward()
@@ -162,6 +163,17 @@ def test_conv2d_grad(stride, pad):
     assert np.abs(bt.grad - gb).max() < 1e-6
 
 
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
+def test_conv2d_grad(stride, pad):
+    _check_conv2d_grads(stride, pad, kernel=3, size=6)
+
+
+@pytest.mark.parametrize("stride,kernel", [(4, 6), (8, 10)])
+def test_conv2d_grad_folded_kernels(stride, kernel):
+    # the (k+2) x (k+2) stride-k kernels that the MSC fusion folds its pools into
+    _check_conv2d_grads(stride, 1, kernel=kernel, size=16)
+
+
 def test_conv2d_matches_direct_computation():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(1, 2, 5, 5))
@@ -175,14 +187,51 @@ def test_conv2d_matches_direct_computation():
                 assert abs(out[0, f, i, j] - ref) < 1e-10
 
 
-def test_avg_pool_grad():
+def test_folded_conv_equals_conv_then_pool():
+    # mean_k(conv3x3(x)) is one stride-k conv with the box-filtered kernel
+    # band @ w @ band.T; its gradient reaches w through the matmuls
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(2, 3, 4, 4))
-    xt = T.parameter(x.copy())
-    w = rng.normal(size=(2, 3, 2, 2))
-    (T.avg_pool2d(xt, 2) * w).sum().backward()
-    gx = fd_grad(lambda v: float((v.reshape(2, 3, 2, 2, 2, 2).mean(axis=(3, 5)) * w).sum()), x.copy())
-    assert np.abs(xt.grad - gx).max() < 1e-7
+    x = rng.normal(size=(2, 3, 8, 8))
+    w0 = rng.normal(size=(2, 3, 3, 3))
+    for k in (2, 4, 8):
+        band = sum(np.eye(k + 2, 3, -i) for i in range(k)) / k
+        r = rng.normal(size=(2, 2, 8 // k, 8 // k))
+
+        def pooled(wv):
+            conv = T.conv2d(Tensor(x), Tensor(wv), stride=1, pad=1).data
+            return conv.reshape(2, 2, 8 // k, k, 8 // k, k).mean(axis=(3, 5))
+
+        wt = T.parameter(w0.copy())
+        out = T.conv2d(Tensor(x), Tensor(band) @ wt @ Tensor(band.T), stride=k, pad=1)
+        assert np.abs(out.data - pooled(w0)).max() < 1e-12
+        (out * r).sum().backward()
+        gw = fd_grad(lambda v: float((pooled(v) * r).sum()), w0.copy())
+        assert np.abs(wt.grad - gw).max() < 1e-7
+
+
+def test_gelu_bits_match_composite_float32():
+    # the one-node gelu keeps the composite's values and gradients exactly,
+    # here between two convs as in the stem: the conv output's channel-last
+    # memory and a 32x16x32x32 map (numpy reuses temporaries from 256 KiB on)
+    def composite(x):
+        c = math.sqrt(2.0 / math.pi)
+        return x * 0.5 * (T.tanh((x + x * x * x * 0.044715) * c) + 1.0)
+
+    rng = np.random.default_rng(9)
+    image = Tensor(rng.random((32, 3, 64, 64), dtype=np.float32))
+    w1, w2 = (rng.normal(scale=0.5, size=s).astype(np.float32) for s in ((16, 3, 3, 3), (8, 16, 3, 3)))
+    b1 = rng.normal(size=16).astype(np.float32)
+    results = []
+    for fn in (T.gelu, composite):
+        params = [T.parameter(p.copy()) for p in (w1, b1, w2)]
+        h = T.conv2d(image, params[0], params[1], stride=2, pad=1)
+        out = fn(h)
+        T.conv2d(out, params[2], stride=2, pad=1).sum().backward()
+        results.append([out.data, h.grad] + [p.grad for p in params])
+    assert results[0][0].shape == (32, 16, 32, 32)
+    assert results[0][0].dtype == results[0][1].dtype == np.float32
+    for got, ref in zip(*results):
+        assert np.array_equal(got, ref)
 
 
 def test_clip_grad_zero_outside():

@@ -231,17 +231,22 @@ class DatasetManifest:
         kv = read_kv(path)
         if kv.get("format") != cls.FORMAT:
             raise ValueError(f"{path}: unknown dataset format {kv.get('format')!r}")
-        cfg = DataConfig(
-            n_aus=int(kv["n_aus"]), subjects=int(kv["subjects"]),
-            samples_per_subject=int(kv["samples_per_subject"]),
-            height=int(kv["height"]), width=int(kv["width"]),
-            rates=[float(r) for r in kv["rates"].split(",")],
-            coactivate=[tuple(float(x) for x in c.split(","))
-                        for c in kv["coactivate"].split(";") if c],
-            noise=float(kv["noise"]), blob_amplitude=float(kv["blob_amplitude"]),
-            base_low=float(kv["base_low"]), base_high=float(kv["base_high"]),
-        )
-        return cls(cfg, int(kv["seed"]), int(kv["n_samples"]))
+        try:
+            cfg = DataConfig(
+                n_aus=int(kv["n_aus"]), subjects=int(kv["subjects"]),
+                samples_per_subject=int(kv["samples_per_subject"]),
+                height=int(kv["height"]), width=int(kv["width"]),
+                rates=[float(r) for r in kv["rates"].split(",")],
+                coactivate=[tuple(float(x) for x in c.split(","))
+                            for c in kv["coactivate"].split(";") if c],
+                noise=float(kv["noise"]), blob_amplitude=float(kv["blob_amplitude"]),
+                base_low=float(kv["base_low"]), base_high=float(kv["base_high"]),
+            )
+            return cls(cfg, int(kv["seed"]), int(kv["n_samples"]))
+        except KeyError as exc:
+            raise ValueError(f"{path}: key {exc} is missing") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def generate_dataset(cfg: DataConfig, seed: int, out_dir) -> DatasetManifest:
@@ -333,6 +338,39 @@ def _check_sample_ids(ids, m: int, path: str) -> None:
         raise ValueError(f"{path}: sample id {int(np.argmin(seen))} is missing")
 
 
+def _label_row(line: str, n_aus: int, where: str):
+    """One labels.csv line -> (sample id, subject id, gender, AU states)."""
+    parts = line.strip().split(",")
+    if len(parts) != 3 + n_aus:
+        raise ValueError(f"{where} has {len(parts)} fields, expected {3 + n_aus}")
+    try:
+        idx, subject, states = int(parts[0]), int(parts[1]), [int(x) for x in parts[3:]]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if any(s not in (0, 1) for s in states):
+        raise ValueError(f"{where}: AU labels must be 0 or 1")
+    return idx, subject, parts[2], states
+
+
+def _caption_row(line: str, n_aus: int, where: str):
+    """One captions.jsonl line -> (sample id, local captions, global caption)."""
+    try:
+        row = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not isinstance(row, dict) or not {"sample_id", "locals", "global"} <= row.keys():
+        raise ValueError(f"{where}: expected an object with sample_id, locals and global")
+    idx, locals_, global_ = row["sample_id"], row["locals"], row["global"]
+    if type(idx) is not int:
+        raise ValueError(f"{where}: sample_id must be an integer, got {idx!r}")
+    if (not isinstance(locals_, list) or len(locals_) != n_aus
+            or not all(isinstance(c, str) for c in locals_)):
+        raise ValueError(f"{where}: locals must be a list of {n_aus} strings")
+    if not isinstance(global_, str):
+        raise ValueError(f"{where}: global must be a string")
+    return idx, locals_, global_
+
+
 def load_dataset(root) -> Dataset:
     root = str(root)
     manifest = DatasetManifest.read(os.path.join(root, "manifest.txt"))
@@ -350,22 +388,23 @@ def load_dataset(root) -> Dataset:
         expect = ["sample_id", "subject_id", "gender"] + [f"au_{i}" for i in range(cfg.n_aus)]
         if header != expect:
             raise ValueError(f"labels.csv header mismatch: {header}")
-        rows = [line.strip().split(",") for line in fh]
-    _check_sample_ids([int(parts[0]) for parts in rows], m, labels_path)
-    for parts in rows:
-        idx = int(parts[0])
-        subject_ids[idx] = int(parts[1])
-        genders[idx] = parts[2]
-        labels[idx] = [int(x) for x in parts[3:]]
+        rows = [_label_row(line, cfg.n_aus, f"{labels_path}: line {n}")
+                for n, line in enumerate(fh, start=2)]
+    _check_sample_ids([row[0] for row in rows], m, labels_path)
+    for idx, subject, gender, states in rows:
+        subject_ids[idx] = subject
+        genders[idx] = gender
+        labels[idx] = states
     local_captions = [None] * m
     global_captions = [None] * m
     captions_path = os.path.join(root, "captions.jsonl")
     with open(captions_path, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh]
-    _check_sample_ids([row["sample_id"] for row in rows], m, captions_path)
-    for row in rows:
-        local_captions[row["sample_id"]] = row["locals"]
-        global_captions[row["sample_id"]] = row["global"]
+        rows = [_caption_row(line, cfg.n_aus, f"{captions_path}: line {n}")
+                for n, line in enumerate(fh, start=1)]
+    _check_sample_ids([row[0] for row in rows], m, captions_path)
+    for idx, locals_, global_ in rows:
+        local_captions[idx] = locals_
+        global_captions[idx] = global_
     vocab = Vocabulary.load(os.path.join(root, "vocab.txt"))
     return Dataset(manifest, images, labels, subject_ids, genders,
                    local_captions, global_captions, vocab)

@@ -11,10 +11,13 @@ consumes [prev-word embedding; context; previous hidden] (the embedding slot
 is dropped when ``strict_input`` is set).  Word logits are a linear read-out
 of the new hidden state.
 
-Greedy decoding, beam decoding and teacher forcing all run the exact same
-single-step function, so scores from the three paths agree bit for bit on
-identical prefixes.  Ties anywhere (argmax, beam ranking) resolve toward the
-lowest token id / lexicographically smallest sequence.
+Beam search and teacher forcing run the same single-step function; greedy
+decoding is beam search of width 1.  At batch 1 the scores of all paths agree
+bit for bit on identical prefixes.  Beam steps that run at batch 2 or more
+may differ from batch-1 scores in the last bits, as BLAS rounds a single row
+differently from rows of a larger batch.  Ties anywhere (argmax, beam
+ranking) resolve toward the lowest token id / lexicographically smallest
+sequence.
 """
 
 from __future__ import annotations
@@ -168,63 +171,47 @@ def teacher_forced_batch(params: DecoderParams, regions: Tensor, gold: np.ndarra
     )
 
 
-def _greedy(params: DecoderParams, regions: Tensor, max_len: int):
-    h, c = _zeros_state(params, 1)
-    prev = np.array([BOS])
-    seq, scores = [], []
-    for _ in range(max_len):
-        h, c, _, _, logits = _step(params, regions, h, c, prev)
-        ls = T.log_softmax(logits, axis=-1).data[0]
-        tok = int(np.argmax(ls))  # ties go to the lowest id
-        seq.append(tok)
-        scores.append(float(ls[tok]))
-        if tok == EOS:
-            break
-        prev = np.array([tok])
-    return seq, scores
-
-
 def greedy_decode(regions: np.ndarray, params: DecoderParams, max_len: int) -> list:
-    """Stepwise-argmax decoding; stops after EOS or max_len tokens."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    with T.no_grad():
-        seq, _ = _greedy(params, Tensor(np.asarray(regions)[None]), max_len)
-    return seq
+    """Stepwise-argmax decoding (ties to the lowest id): width-1 beam search."""
+    return beam_decode(regions, params, 1, max_len)
 
 
 def beam_decode(regions: np.ndarray, params: DecoderParams, width: int, max_len: int) -> list:
     """Beam search over raw log-prob sums (no length normalisation).
 
-    EOS-terminated hypotheses freeze; live ones that reach max_len compete
-    as-is.  Ranking everywhere is (score desc, sequence asc).
+    The live hypotheses are the rows of one batch, kept in sequence order, so
+    each step is one ``_step`` call.  Flat candidate indices then run in
+    sequence order too, and a stable sort on the negated scores ranks by
+    (score desc, sequence asc).  EOS-terminated hypotheses freeze; live ones
+    that reach max_len compete as-is.
     """
     if width < 1:
         raise ValueError("beam width must be at least 1")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     vocab = params.vocab_size
+    tiled = np.repeat(np.asarray(regions)[None], width, axis=0)
     with T.no_grad():
-        reg = Tensor(np.asarray(regions)[None])
-        h0, c0 = _zeros_state(params, 1)
-        live = [(0.0, (), h0, c0, BOS)]
+        h, c = _zeros_state(params, 1)
+        scores = np.zeros(1)  # float64 sums of the per-step log-probs
+        seqs = np.zeros((1, 0), dtype=np.int64)
+        prev = np.array([BOS])
         finished = []
         for _ in range(max_len):
-            candidates = []
-            for score, seq, h, c, prev in live:
-                h2, c2, _, _, logits = _step(params, reg, h, c, np.array([prev]))
-                ls = T.log_softmax(logits, axis=-1).data[0]
-                for tok in range(vocab):
-                    candidates.append((score + float(ls[tok]), seq + (tok,), h2, c2, tok))
-            candidates.sort(key=lambda cand: (-cand[0], cand[1]))
-            live = []
-            for cand in candidates[:width]:
-                if cand[4] == EOS:
-                    finished.append((cand[0], cand[1]))
-                else:
-                    live.append(cand)
-            if not live:
+            h, c, _, _, logits = _step(params, Tensor(tiled[: len(scores)]), h, c, prev)
+            cand = (scores[:, None] + T.log_softmax(logits, axis=-1).data).ravel()
+            top = np.sort(np.argsort(-cand, kind="stable")[:width])
+            parent, tok = np.divmod(top, vocab)
+            seqs = np.concatenate([seqs[parent], tok[:, None]], axis=1)
+            scores = cand[top]
+            done = tok == EOS
+            finished.extend(zip(scores[done].tolist(), map(tuple, seqs[done].tolist())))
+            live = ~done
+            if not live.any():
                 break
-        finished.extend((score, seq) for score, seq, _, _, _ in live)
+            scores, seqs, prev = scores[live], seqs[live], tok[live]
+            h, c = Tensor(h.data[parent[live]]), Tensor(c.data[parent[live]])
+        else:
+            finished.extend(zip(scores.tolist(), map(tuple, seqs.tolist())))
     best = min(finished, key=lambda f: (-f[0], f[1]))
     return list(best[1])

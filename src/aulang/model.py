@@ -20,7 +20,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .stem import Image, StemParams, MscParams, stem_forward, msc_forward, regions_of
 from .dair import BranchParams, refine
-from .decoder import DecoderParams, teacher_forced_batch, greedy_decode, beam_decode
+from .decoder import DecoderParams, teacher_forced_batch, beam_decode
 from .losses import (
     ClassWeights,
     NonFiniteLossError,
@@ -202,20 +202,17 @@ class Model:
 
     def describe_ids(self, image: np.ndarray, beam_width: int = 3, max_len=None):
         """One (C, H, W) image in [0, 1] -> (AU probs, per-AU token ids,
-        global token ids).  Raises ValueError on an invalid image and
-        NonFiniteLossError when the probabilities leave the reals.  A beam
-        width of 1 decodes greedily; widths below 1 raise ValueError."""
-        if beam_width < 1:
-            raise ValueError(f"beam width must be at least 1, got {beam_width}")
+        global token ids).  Raises ValueError on an invalid image or a beam
+        width below 1, and NonFiniteLossError when the probabilities leave the
+        reals.  A beam width of 1 is greedy decoding."""
         max_len = max_len or self.config.max_len
         image = Image(image).data
-        decode = ((lambda r, p: beam_decode(r, p, beam_width, max_len))
-                  if beam_width > 1 else (lambda r, p: greedy_decode(r, p, max_len)))
         with T.no_grad():
             x = Tensor(image.astype(self.config.np_dtype)[None])
             v, vhats, probs = self.forward_probs(x)
             if not np.isfinite(probs.data).all():
                 raise NonFiniteLossError("AU probabilities are not finite")
-            local_ids = [decode(regions_of(vh).data[0], self.local_dec) for vh in vhats]
-            global_ids = decode(regions_of(v).data[0], self.global_dec)
+            local_ids = [beam_decode(regions_of(vh).data[0], self.local_dec, beam_width, max_len)
+                         for vh in vhats]
+            global_ids = beam_decode(regions_of(v).data[0], self.global_dec, beam_width, max_len)
         return probs.data[0], local_ids, global_ids

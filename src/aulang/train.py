@@ -237,12 +237,57 @@ def save_checkpoint(ckpt_dir, model: Model, vocab: Vocabulary, train_cfg=None,
     return ckpt_dir
 
 
-def load_checkpoint(ckpt_dir):
-    """Rebuild (model, vocab, manifest); float32 weights restore bit-exactly."""
-    with open(os.path.join(ckpt_dir, "manifest.json"), encoding="utf-8") as fh:
+def _config_from_manifest(cls, entry, path: str, key: str):
+    """A config dataclass from a manifest entry that holds every field, each
+    with the type of its default; anything else raises ValueError."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: {key!r} must be an object")
+    defaults = asdict(cls())
+    for name in sorted(set(entry) | set(defaults)):
+        if name not in defaults:
+            raise ValueError(f"{path}: {key!r} has unknown key {name!r}")
+        if name not in entry:
+            raise ValueError(f"{path}: {key!r} has no key {name!r}")
+        want, got = type(defaults[name]), type(entry[name])
+        if got is not want and not (want is float and got is int):
+            raise ValueError(f"{path}: {key}.{name} must be of type {want.__name__}, "
+                             f"got {entry[name]!r}")
+    try:
+        return cls(**entry)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from None
+
+
+def _read_manifest(path: str):
+    """manifest.json -> (manifest dict, ModelConfig), refusing a malformed
+    shape, a missing key or a wrongly typed value."""
+    with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    model = Model(ModelConfig.from_dict(manifest["model_config"]),
-                  seed=manifest["model_seed"])
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    for key in ("model_config", "model_seed", "params"):
+        if key not in manifest:
+            raise ValueError(f"{path}: key {key!r} is missing")
+    if type(manifest["model_seed"]) is not int:
+        raise ValueError(f"{path}: model_seed must be of type int, "
+                         f"got {manifest['model_seed']!r}")
+    params = manifest["params"]
+    if not isinstance(params, list) or not all(isinstance(n, str) for n in params):
+        raise ValueError(f"{path}: params must be a list of names")
+    fold = manifest.get("fold")
+    if fold is not None and type(fold) is not int:
+        raise ValueError(f"{path}: fold must be of type int or null, got {fold!r}")
+    if manifest.get("train_config") is not None:
+        _config_from_manifest(TrainConfig, manifest["train_config"], path, "train_config")
+    return manifest, _config_from_manifest(ModelConfig, manifest["model_config"], path,
+                                           "model_config")
+
+
+def load_checkpoint(ckpt_dir):
+    """Rebuild (model, vocab, manifest); float32 weights restore bit-exactly.
+    A malformed manifest raises ValueError naming the file and the key."""
+    manifest, model_cfg = _read_manifest(os.path.join(ckpt_dir, "manifest.json"))
+    model = Model(model_cfg, seed=manifest["model_seed"])
     named = dict(model.named_parameters())
     if sorted(named) != sorted(manifest["params"]):
         raise ValueError("checkpoint parameter names do not match the architecture")

@@ -2,10 +2,17 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import aulang
 from aulang.cli import main
 
 SMALL_MODEL = [
@@ -254,6 +261,74 @@ def test_eval_missing_caption_row_exits_2(workspace, tmp_path, capsys):
     assert "captions.jsonl: sample id 3 is missing" in _one_line(captured.err)
 
 
+def _edit_model_config(**changes):
+    def edit(manifest):
+        manifest["model_config"].update(changes)
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_edit_model_config(bogus=1), "'model_config' has unknown key 'bogus'"),
+    (_edit_model_config(max_len="24"), "model_config.max_len must be of type int, got '24'"),
+    (lambda m: {k: v for k, v in m.items() if k != "model_seed"},
+     "key 'model_seed' is missing"),
+    (lambda m: [1], "expected a JSON object, got list"),
+], ids=["unknown_config_key", "string_max_len", "no_model_seed", "not_an_object"])
+def test_describe_malformed_checkpoint_manifest_exits_2(workspace, tmp_path, capsys,
+                                                         edit, message):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workspace["checkpoint"], ckpt)
+    path = ckpt / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+    assert main(["describe", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                 "--sample", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _one_line(captured.err)
+    assert "manifest.json" in err and message in err
+
+
+def _drop_line(prefix):
+    return lambda lines: [line for line in lines if not line.startswith(prefix)]
+
+
+def _edit_line(n, edit):
+    return lambda lines: lines[:n] + [edit(lines[n])] + lines[n + 1:]
+
+
+def _caption_edit(**changes):
+    def edit(line):
+        row = dict(json.loads(line), **changes)
+        return json.dumps({k: v for k, v in row.items() if v is not None}) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("manifest.txt", _drop_line("seed ="), "manifest.txt: key 'seed' is missing"),
+    ("labels.csv", _edit_line(4, lambda line: ",".join(line.split(",")[:2]) + "\n"),
+     "labels.csv: line 5 has 2 fields, expected 6"),
+    ("captions.jsonl", _edit_line(3, _caption_edit(locals=None)),
+     "captions.jsonl: line 4: expected an object"),
+    ("captions.jsonl", _edit_line(3, lambda line: "[1, 2]\n"),
+     "captions.jsonl: line 4: expected an object"),
+    ("captions.jsonl", _edit_line(3, _caption_edit(locals=["the jaw is open"] * 2)),
+     "captions.jsonl: line 4: locals must be a list of 3 strings"),
+], ids=["manifest_no_seed", "labels_short_row", "captions_no_locals",
+        "captions_not_an_object", "captions_short_locals"])
+def test_eval_malformed_dataset_file_exits_2(workspace, tmp_path, capsys, name, edit, message):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(workspace["checkpoint"]),
+                 "--data", str(data), "--fold", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in _one_line(captured.err)
+
+
 def test_export_embeddings_cli(workspace, tmp_path, capsys):
     out = tmp_path / "emb.csv"
     code = main(["export-embeddings", "--checkpoint", str(workspace["checkpoint"]),
@@ -299,3 +374,67 @@ def test_text_mode_output(workspace, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("au") >= 3 and "overall:" in out
+
+
+_TEXT_FILES = {"data": ["manifest.txt", "labels.csv", "captions.jsonl", "vocab.txt"],
+               "checkpoint": ["manifest.json", "vocab.txt"]}
+_SRC = str(Path(aulang.__file__).resolve().parents[1])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_exit_code_contract_under_corrupted_files(workspace, draw):
+    """Truncate, bit-flip or delete one file or row of a dataset or checkpoint,
+    then run eval or describe in a fresh process: the exit code is 0, 2, 3 or
+    4, a failure prints one stderr line and no traceback, and --json output
+    holds no NaN or infinity."""
+    d = draw.draw
+    sample = d(st.integers(0, 23), label="sample")
+    tree = d(st.sampled_from(["data", "checkpoint"]), label="tree")
+    params = sorted(p.name for p in (workspace["checkpoint"] / "params").iterdir())
+    kind = d(st.sampled_from(["text", "tensor"]), label="kind")
+    if kind == "text":
+        name = d(st.sampled_from(_TEXT_FILES[tree]), label="file")
+    elif tree == "data":
+        name = f"images/sample_{sample:05d}.ten"
+    else:
+        name = "params/" + d(st.sampled_from(params), label="file")
+    mutation = d(st.sampled_from(["delete_file", "truncate", "flip_bit"]
+                                 + (["delete_row"] if kind == "text" else [])),
+                 label="mutation")
+    command = d(st.sampled_from(["eval", "describe"]), label="command")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = {"data": Path(tmp) / "data", "checkpoint": Path(tmp) / "checkpoint"}
+        for key, root in roots.items():
+            shutil.copytree(workspace[key], root)
+        path = roots[tree] / name
+        blob = path.read_bytes()
+        if mutation == "delete_file":
+            path.unlink()
+        elif mutation == "truncate":
+            path.write_bytes(blob[:d(st.integers(0, len(blob) - 1), label="cut")])
+        elif mutation == "flip_bit":
+            bit = d(st.integers(0, 8 * len(blob) - 1), label="bit")
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+        else:
+            lines = blob.splitlines(keepends=True)
+            del lines[d(st.integers(0, len(lines) - 1), label="row")]
+            path.write_bytes(b"".join(lines))
+        args = ["--checkpoint", str(roots["checkpoint"]), "--data", str(roots["data"]),
+                "--json"]
+        args += ["--fold", "0"] if command == "eval" else ["--sample", str(sample)]
+        env = dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "aulang.cli", command] + args,
+                              capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    if proc.returncode:
+        _one_line(proc.stderr)
+    else:
+        json.loads(proc.stdout, parse_constant=_reject_constant)

@@ -8,14 +8,15 @@ import pytest
 from aulang import tensor as T
 from aulang.decoder import (
     DecoderParams,
-    _greedy,
+    _step,
+    _zeros_state,
     attend,
     beam_decode,
     greedy_decode,
     teacher_forced_batch,
     teacher_forced_logprobs,
 )
-from aulang.vocab import EOS, PAD
+from aulang.vocab import BOS, EOS, PAD
 
 
 def tiny_params(seed, d=3, hidden=4, vocab=4, embed=3, strict=False, dtype=np.float32):
@@ -63,12 +64,59 @@ def test_attention_uniform_when_readout_zero():
     assert np.allclose(alpha, 0.2, atol=1e-9)
 
 
+def _reference_greedy(regions, params, max_len):
+    """Batch-1 argmax loop -> (tokens, per-step log-probs)."""
+    with T.no_grad():
+        reg = T.Tensor(regions[None])
+        h, c = _zeros_state(params, 1)
+        prev = np.array([BOS])
+        seq, scores = [], []
+        for _ in range(max_len):
+            h, c, _, _, logits = _step(params, reg, h, c, prev)
+            ls = T.log_softmax(logits, axis=-1).data[0]
+            tok = int(np.argmax(ls))  # ties go to the lowest id
+            seq.append(tok)
+            scores.append(float(ls[tok]))
+            if tok == EOS:
+                break
+            prev = np.array([tok])
+    return seq, scores
+
+
+def _reference_beam(regions, params, width, max_len):
+    """Beam search that steps each hypothesis at batch 1 and ranks candidate
+    tuples by (score desc, sequence asc)."""
+    with T.no_grad():
+        reg = T.Tensor(regions[None])
+        h0, c0 = _zeros_state(params, 1)
+        live = [(0.0, (), h0, c0, BOS)]
+        finished = []
+        for _ in range(max_len):
+            candidates = []
+            for score, seq, h, c, prev in live:
+                h2, c2, _, _, logits = _step(params, reg, h, c, np.array([prev]))
+                ls = T.log_softmax(logits, axis=-1).data[0]
+                for tok in range(params.vocab_size):
+                    candidates.append((score + float(ls[tok]), seq + (tok,), h2, c2, tok))
+            candidates.sort(key=lambda cand: (-cand[0], cand[1]))
+            live = []
+            for cand in candidates[:width]:
+                if cand[4] == EOS:
+                    finished.append((cand[0], cand[1]))
+                else:
+                    live.append(cand)
+            if not live:
+                break
+        finished.extend((score, seq) for score, seq, _, _, _ in live)
+    return list(min(finished, key=lambda f: (-f[0], f[1]))[1])
+
+
 def test_greedy_scores_match_teacher_forcing_exactly():
     for seed in range(20):
         p = tiny_params(seed)
         regions = tiny_regions(seed + 50)
-        with T.no_grad():
-            seq, scores = _greedy(p, T.Tensor(regions[None]), max_len=6)
+        seq, scores = _reference_greedy(regions, p, max_len=6)
+        assert greedy_decode(regions, p, max_len=6) == seq
         replay = teacher_forced_logprobs(regions, seq, p)
         assert np.array_equal(np.array(scores), replay)
 
@@ -113,7 +161,36 @@ def test_beam_width_one_equals_greedy():
     for seed in range(30):
         p = tiny_params(seed, d=4, hidden=5, vocab=6, embed=4)
         regions = tiny_regions(seed + 7, l=3, d=4)
-        assert beam_decode(regions, p, width=1, max_len=5) == greedy_decode(regions, p, max_len=5)
+        want, _ = _reference_greedy(regions, p, max_len=5)
+        assert beam_decode(regions, p, width=1, max_len=5) == want
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 16])
+def test_beam_matches_per_hypothesis_reference(width):
+    for seed in range(50):
+        p = tiny_params(seed, d=4, hidden=5, vocab=6, embed=4)
+        regions = tiny_regions(seed + 90, l=3, d=4)
+        got = beam_decode(regions, p, width=width, max_len=6)
+        assert got == _reference_beam(regions, p, width, max_len=6), f"seed {seed}"
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 16])
+def test_beam_ranks_tied_scores_like_the_reference(width):
+    # read-out columns repeat with period 3, so every score has exact ties
+    for seed in range(10):
+        p = tiny_params(seed, vocab=64)
+        p.w_s.data[:] = p.w_s.data[:, np.arange(64) % 3]
+        regions = tiny_regions(seed + 40)
+        got = beam_decode(regions, p, width=width, max_len=4)
+        assert got == _reference_beam(regions, p, width, max_len=4), f"seed {seed}"
+
+
+@pytest.mark.parametrize("width,want", [(1, [PAD] * 5), (2, [PAD] * 5), (3, [EOS]), (8, [EOS])])
+def test_beam_exact_ties_go_to_the_smallest_sequence(width, want):
+    # zero read-out: every token scores -log(vocab) at every step
+    p = tiny_params(3, vocab=64)
+    p.w_s.data[:] = 0.0
+    assert beam_decode(tiny_regions(4), p, width=width, max_len=5) == want
 
 
 def test_beam_score_monotone_in_width():
